@@ -18,22 +18,16 @@ Quickstart::
     evaluate_vector(net, (3, 4, 5))   # {'y': 6}
 """
 
-from . import (
-    analysis,
-    apps,
-    coding,
-    core,
-    ir,
-    kernels,
-    learning,
-    network,
-    neuron,
-    obs,
-    racelogic,
-    runtime,
-    serve,
-    testing,
-)
+import importlib
+
+# ``core`` first, then ``network``: ``core/__init__`` reaches into
+# ``repro.network`` (through ``core.synthesis``), and the import cycles
+# between ``network`` and ``obs`` / ``runtime`` / ``ir`` resolve only
+# when ``network`` is entered that way.  Every other subpackage loads
+# on first attribute access (``repro.serve``, ``repro.testing``, ...),
+# so a process that serves models never pays for the analysis, testing
+# or race-logic code.
+from . import core, network
 
 __version__ = "1.0.0"
 
@@ -54,3 +48,13 @@ __all__ = [
     "testing",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in __all__ and not name.startswith("__"):
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -146,6 +146,30 @@ class _Rewriter:
         )
 
 
+def _reemits_unchanged(program: Program) -> bool:
+    """True when re-emitting every node 1:1 reproduces *program* exactly.
+
+    A :class:`_Rewriter` copy drops terminal tags, compute-node names
+    and terminal amounts, and rebuilds provenance as sorted,
+    duplicate-free root tuples.  A program already in that form — every
+    pass output is — comes back identical, so a pass whose pre-scan
+    finds nothing to rewrite may return it as is.
+    """
+    provenance = program.provenance
+    if len(provenance) != len(program.nodes):
+        return False
+    for node in program.nodes:
+        roots = provenance.get(node.id)
+        if roots is None or roots != tuple(sorted(set(roots))):
+            return False
+        if node.is_terminal:
+            if node.tags or node.amount != 1:
+                return False
+        elif node.name is not None:
+            return False
+    return True
+
+
 def _strip_dead(program: Program) -> Program:
     """Drop unreferenced compute nodes (rewrites leave orphans behind).
 
@@ -249,8 +273,12 @@ def pass_fold_consts(
     propagates through addition, and min/max/lt fold when their
     arguments are known.  Folds are expressed as aliases to the node
     already carrying the value, so fire times are preserved exactly
-    (the provenance invariant).
+    (the provenance invariant).  With no ``const0``, no pinned param
+    and no single-source min/max there is nothing to fold, and the
+    input comes back as is.
     """
+    if _folds_nothing(program, params):
+        return program
     rw = _Rewriter(program)
     known: dict[int, Time] = {}  # new id -> provably constant value
 
@@ -348,8 +376,49 @@ def pass_fold_consts(
     return rw.finish()
 
 
+def _folds_nothing(
+    program: Program, params: Optional[Mapping[str, Time]]
+) -> bool:
+    """Pre-scan: would :func:`pass_fold_consts` re-emit *program* as is?
+
+    Folding starts only at a ``const0`` (zero-source ``max``) or a
+    param pinned to 0 or ``∞``; without either, the one rewrite left is
+    a single-source min/max collapsing to a wire.  (Re-emitted min/max/
+    lt nodes also take the default ``amount``.)
+    """
+    for node in program.nodes:
+        kind = node.kind
+        if kind == "param":
+            if params is not None and node.name in params:
+                pinned = params[node.name]
+                if isinstance(pinned, Infinity) or pinned == 0:
+                    return False
+        elif kind in ("min", "max"):
+            arity = len(node.sources)
+            if arity == 1 or (arity == 0 and kind == "max"):
+                return False
+            if node.amount != 1:
+                return False
+        elif kind == "lt" and node.amount != 1:
+            return False
+    return _reemits_unchanged(program)
+
+
+def _fuses_nothing(program: Program) -> bool:
+    """Pre-scan: would :func:`pass_fuse_inc` re-emit *program* as is?"""
+    nodes = program.nodes
+    for node in nodes:
+        if node.kind == "inc" and (
+            node.amount == 0 or nodes[node.sources[0]].kind == "inc"
+        ):
+            return False
+    return _reemits_unchanged(program)
+
+
 def pass_fuse_inc(program: Program, *, params=None) -> Program:
     """Coalesce ``inc`` chains; a total delay of 0 collapses to a wire."""
+    if _fuses_nothing(program):
+        return program
     rw = _Rewriter(program)
     for node in program.nodes:
         if node.kind != "inc":

@@ -98,6 +98,31 @@ class Job:
 # Worker process body
 # ---------------------------------------------------------------------------
 
+def _load_program(model_id: str, document: str, optimize: bool):
+    """Rebuild *document*, prove it is *model_id*, lower and optimize it.
+
+    The one place a served model is compiled: every worker (process or
+    inline) runs it once per model it loads; the registry only
+    serializes.  The IR imports happen at call time so a worker looks
+    ``lower`` and ``optimize_program`` up in their modules when it
+    loads, not when this module is imported.
+    """
+    from ..ir.passes import optimize_program
+    from ..ir.program import lower
+    from ..network import serialize
+
+    network = serialize.loads(document)
+    if network.fingerprint() != model_id:
+        raise ValueError(
+            f"document fingerprint {network.fingerprint()[:12]} does not "
+            f"match model id {model_id[:12]}"
+        )
+    program = lower(network)
+    if optimize:
+        program, _report = optimize_program(program)
+    return program
+
+
 def _worker_main(
     conn, documents: dict[str, str], optimize: bool, engine: str = "auto"
 ) -> None:
@@ -129,9 +154,6 @@ def _worker_main(
     """
     import time as _time
 
-    from ..ir.passes import optimize_program
-    from ..ir.program import lower
-    from ..network import serialize
     from ..obs import profile as _profile
     from ..obs.metrics import METRICS as _worker_metrics
     from ..runtime.registry import ENGINES
@@ -141,15 +163,7 @@ def _worker_main(
     warmups = {backend.key: 0 for backend in backends}
 
     def load(model_id: str, document: str):
-        network = serialize.loads(document)
-        if network.fingerprint() != model_id:
-            raise ValueError(
-                f"document fingerprint {network.fingerprint()[:12]} does not "
-                f"match model id {model_id[:12]}"
-            )
-        program = lower(network)
-        if optimize:
-            program, _report = optimize_program(program)
+        program = _load_program(model_id, document, optimize)
         for backend in backends:
             backend.warm(program)
             warmups[backend.key] += 1
@@ -258,6 +272,12 @@ class _WorkerHandle:
     generation: int
     alive: bool = True
     jobs: dict[int, Job] = field(default_factory=dict)
+    #: Serializes writes to ``conn``.  Sends happen outside the pool
+    #: lock: a worker blocked on a full reply pipe only drains its
+    #: request pipe once the collector (which needs the pool lock) reads
+    #: its replies.  Per-worker, so each message stays whole and sends
+    #: to one worker keep their order (``load`` before ``ping``).
+    send_lock: threading.Lock = field(default_factory=threading.Lock)
     #: Per-engine plan warmup counts the worker reported at ready (and
     #: refreshes on every subsequent model load).
     warmups: dict[str, int] = field(default_factory=dict)
@@ -398,6 +418,11 @@ class ProcessWorkerPool:
     def engine(self) -> str:
         return self._engine
 
+    @property
+    def optimize(self) -> bool:
+        """Whether workers run the pass pipeline over every model."""
+        return self._optimize
+
     def warmups(self) -> list[dict[str, int]]:
         """Per-slot plan warmup counts, keyed by engine (``int64``/``native``)."""
         with self._lock:
@@ -424,35 +449,46 @@ class ProcessWorkerPool:
                 raise ServeError(E_WORKER, "no alive workers")
             worker = min(alive, key=lambda w: w.inflight)
             worker.jobs[job.job_id] = job
-            try:
-                worker.conn.send(
-                    (
-                        "eval",
-                        job.job_id,
-                        job.model_id,
-                        job.matrix,
-                        job.params_enc,
-                        job.want_spans,
-                    )
-                )
-            except (OSError, BrokenPipeError):
-                # The pipe died under us; the collector will reap the
-                # worker, but this job must fail over immediately.
-                del worker.jobs[job.job_id]
-                worker.alive = False
+        message = (
+            "eval",
+            job.job_id,
+            job.model_id,
+            job.matrix,
+            job.params_enc,
+            job.want_spans,
+        )
+        if not self._send(worker, message):
+            # The pipe died under us.  Fail over now unless the
+            # collector already reaped the worker and failed this job.
+            with self._lock:
+                orphaned = worker.jobs.pop(job.job_id, None) is not None
+            if orphaned:
                 raise ServeError(E_WORKER, "worker pipe broken on submit")
+            return
         _obs_metrics.METRICS.inc("serve.pool.submits")
+
+    def _send(self, worker: _WorkerHandle, message: tuple) -> bool:
+        """Send *message* to *worker* without holding the pool lock.
+
+        Returns ``False`` (and marks the worker dead) when the pipe is
+        broken.
+        """
+        try:
+            with worker.send_lock:
+                worker.conn.send(message)
+        except (OSError, BrokenPipeError):
+            with self._lock:
+                worker.alive = False
+            return False
+        return True
 
     def add_model(self, model_id: str, document: str) -> None:
         """Ship a newly registered model to every alive worker."""
         with self._lock:
             self._documents[model_id] = document
-            for worker in self._workers:
-                if worker.alive:
-                    try:
-                        worker.conn.send(("load", model_id, document))
-                    except (OSError, BrokenPipeError):
-                        worker.alive = False
+            workers = [w for w in self._workers if w.alive]
+        for worker in workers:
+            self._send(worker, ("load", model_id, document))
 
     def wait_warm(self, timeout: float = 30.0) -> bool:
         """Barrier: every alive worker has drained its message backlog.
@@ -467,7 +503,7 @@ class ProcessWorkerPool:
         stall it: its replacement reloads every document before
         reporting ready, which preserves the warm guarantee).
         """
-        events = []
+        pings = []
         with self._lock:
             for worker in self._workers:
                 if not worker.alive:
@@ -475,13 +511,14 @@ class ProcessWorkerPool:
                 token = next(self._ping_tokens)
                 event = threading.Event()
                 self._pongs[token] = (worker, event)
-                try:
-                    worker.conn.send(("ping", token))
-                except (OSError, BrokenPipeError):
-                    worker.alive = False
-                    del self._pongs[token]
-                    continue
+                pings.append((worker, token, event))
+        events = []
+        for worker, token, event in pings:
+            if self._send(worker, ("ping", token)):
                 events.append(event)
+            else:
+                with self._lock:
+                    self._pongs.pop(token, None)
         deadline = monotonic() + timeout
         warm = True
         for event in events:
@@ -493,11 +530,9 @@ class ProcessWorkerPool:
         """Make worker *slot* die abruptly (fault-injection hook)."""
         with self._lock:
             worker = self._workers[slot]
-            if worker.alive:
-                try:
-                    worker.conn.send(("crash",))
-                except (OSError, BrokenPipeError):
-                    worker.alive = False
+            if not worker.alive:
+                return
+        self._send(worker, ("crash",))
 
     # -- collector ------------------------------------------------------------
     def _collect_loop(self) -> None:
@@ -638,6 +673,11 @@ class InlineWorkerPool:
     def engine(self) -> str:
         return self._engine
 
+    @property
+    def optimize(self) -> bool:
+        """Whether workers run the pass pipeline over every model."""
+        return self._optimize
+
     def warmups(self) -> list[dict[str, int]]:
         return [dict(self._warmups)]
 
@@ -671,14 +711,7 @@ class InlineWorkerPool:
         job.on_done(result)
 
     def add_model(self, model_id: str, document: str) -> None:
-        from ..ir.passes import optimize_program
-        from ..ir.program import lower
-        from ..network import serialize
-
-        network = serialize.loads(document)
-        program = lower(network)
-        if self._optimize:
-            program, _report = optimize_program(program)
+        program = _load_program(model_id, document, self._optimize)
         for backend in self._backends:
             backend.warm(program)
             self._warmups[backend.key] += 1

@@ -37,8 +37,13 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
-from ..ir.passes import optimize_program
-from ..ir.program import Program, lower
+# ``register`` neither lowers nor optimizes (the worker pool does both,
+# once per worker).  ``lower`` and ``optimize_program`` stay importable
+# from here because the end-to-end benchmark's traced launcher
+# (``e2ebench/launch.py``) wraps these module attributes to time any
+# front-process compilation; removing them would break that launcher.
+from ..ir.passes import optimize_program  # noqa: F401
+from ..ir.program import lower  # noqa: F401
 from ..network import serialize
 from ..network.graph import Network, NetworkError
 from .protocol import E_NO_MODEL, ServeError
@@ -49,21 +54,18 @@ MIN_PREFIX = 8
 
 @dataclass(frozen=True)
 class ModelEntry:
-    """One registered model: the network, its program, and its document.
+    """One registered model: the network and its document.
 
-    ``program`` is what workers execute (IR-lowered, optionally
-    pass-pipeline optimized — fire-time equal to the network by the IR's
-    provenance contract); ``document`` is the serialized form shipped to
-    worker processes; ``network`` stays available in-process for the
-    direct conformance path.
+    ``document`` is the serialized form shipped to the worker pool,
+    which is the only place a served model is lowered, optimized and
+    warmed; ``network`` stays available in-process for the direct
+    conformance path.
     """
 
     model_id: str  # == network.fingerprint()
     name: str
     network: Network
-    program: Program
     document: str
-    optimized: bool
 
     @property
     def input_arity(self) -> int:
@@ -81,8 +83,12 @@ class ModelEntry:
     def output_names(self) -> list[str]:
         return self.network.output_names
 
-    def describe(self) -> dict:
-        """The JSON shape the server's ``models`` op reports."""
+    def describe(self, *, optimized: bool) -> dict:
+        """The JSON shape the server's ``models`` op reports.
+
+        *optimized* is the worker pool's setting: whether the program
+        the pool executes went through the pass pipeline.
+        """
         return {
             "id": self.model_id,
             "name": self.name,
@@ -90,7 +96,7 @@ class ModelEntry:
             "params": self.param_names,
             "outputs": self.output_names,
             "nodes": len(self.network.nodes),
-            "optimized": self.optimized,
+            "optimized": optimized,
         }
 
 
@@ -128,7 +134,6 @@ class ModelRegistry:
         network: Network,
         *,
         name: Optional[str] = None,
-        optimize: bool = True,
     ) -> ModelEntry:
         """Register *network*; returns the (possibly pre-existing) entry.
 
@@ -140,9 +145,9 @@ class ModelRegistry:
         with self._lock:
             entry = self._by_id.get(fingerprint)
         if entry is None:
-            # Build outside the lock: serialization and the optimizer
-            # pipeline can take hundreds of milliseconds on a trained
-            # column, and admissions must keep resolving meanwhile.
+            # Build outside the lock: the serialization round trip takes
+            # tens of milliseconds on a wide or trained column, and
+            # admissions must keep resolving meanwhile.
             document = serialize.dumps(network, indent=None)
             rebuilt = serialize.loads(document)
             if rebuilt.fingerprint() != fingerprint:
@@ -151,16 +156,11 @@ class ModelRegistry:
                     f"{network.name!r}: {fingerprint[:12]} -> "
                     f"{rebuilt.fingerprint()[:12]}"
                 )
-            program = lower(network)
-            if optimize:
-                program, _report = optimize_program(program)
             entry = ModelEntry(
                 model_id=fingerprint,
                 name=name or network.name,
                 network=network,
-                program=program,
                 document=document,
-                optimized=optimize,
             )
         with self._lock:
             entry = self._by_id.setdefault(fingerprint, entry)

@@ -333,7 +333,9 @@ async def _handle_connection(
                     {
                         "ok": True,
                         "models": [
-                            entry.describe()
+                            entry.describe(
+                                optimized=getattr(service.pool, "optimize", True)
+                            )
                             for entry in service.registry.entries()
                         ],
                         "aliases": service.registry.aliases(),

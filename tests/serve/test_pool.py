@@ -2,6 +2,7 @@
 
 import multiprocessing as mp
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -342,3 +343,70 @@ class TestInlinePool:
             pool.submit(
                 Job(1, model_id, np.zeros((1, 2), np.int64), {}, on_done, on_fail)
             )
+
+
+class TestSendOutsidePoolLock:
+    """A flood whose replies overflow the pipe must not wedge the pool.
+
+    Sends used to happen under the pool lock.  Once the worker→parent
+    pipe filled, the worker blocked on its reply, stopped reading, the
+    parent blocked on its next send with the lock held, and the
+    collector (which takes that lock to deliver replies) stopped
+    draining: every pool call, ``alive_count`` included, hung.
+    """
+
+    N_OUTPUTS = 96
+    N_REQUESTS = 3000
+
+    def fanout_network(self):
+        from repro.network import NetworkBuilder
+
+        b = NetworkBuilder("fanout")
+        x = b.input("x")
+        for i in range(self.N_OUTPUTS):
+            b.output(f"y{i}", b.inc(x, i + 1))
+        return b.build()
+
+    def test_max_batch_1_flood_completes(self):
+        from repro.serve.batcher import BatchPolicy
+        from repro.serve.service import TNNService
+
+        registry = ModelRegistry()
+        registry.register(self.fanout_network(), name="fanout")
+        pool = ProcessWorkerPool(registry.documents(), n_workers=1)
+        service = TNNService(
+            registry,
+            pool,
+            policy=BatchPolicy(max_batch=1, max_wait_s=0),
+            max_pending=self.N_REQUESTS,
+        )
+        # Each reply carries N_OUTPUTS int64s, so the replies outstanding
+        # at once can far exceed a socket pipe's buffer (~200 KiB).
+        assert self.N_REQUESTS * self.N_OUTPUTS * 8 > 1 << 20
+        finished = False
+        try:
+            futures = [
+                service.submit("fanout", (i % 50,))
+                for i in range(self.N_REQUESTS)
+            ]
+            pause = threading.Event()
+            give_up = time.monotonic() + 120
+            while not all(f.done() for f in futures):
+                assert time.monotonic() < give_up, "flood never drained"
+                answered = threading.Event()
+                probe = threading.Thread(
+                    target=lambda: (pool.alive_count(), answered.set()),
+                    daemon=True,
+                )
+                probe.start()
+                assert answered.wait(timeout=1.0), "alive_count() hung"
+                pause.wait(timeout=0.05)
+            results = [f.result(timeout=1) for f in futures]
+            assert results[7] == tuple(7 + i + 1 for i in range(self.N_OUTPUTS))
+            finished = True
+        finally:
+            if not finished:
+                # Break a wedged pipe so shutdown cannot hang the suite.
+                for worker in pool._workers:
+                    worker.process.kill()
+            service.close()
